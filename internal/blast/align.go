@@ -26,195 +26,252 @@ const (
 	OpInsS EditOp = 'S'
 )
 
-// bandedGlobalAlign aligns q against s end-to-end with affine gaps inside a
-// diagonal band, returning the score and the edit path. The band half-width
-// is |len(q)-len(s)| + pad, enough for any path whose gap total is within
-// pad of the minimum. It is used to recover alignment statistics for an HSP
-// whose rectangle is already fixed by the X-drop extension.
-func bandedGlobalAlign(q, s []byte, m Matrix, gaps GapCosts, pad int) (int, []EditOp, error) {
+// Packed backpointer layout: one byte per band cell records, for each of
+// the three layers, the layer the cell's best value came from (0=M, 1=E,
+// 2=F) — M in bits 0-1, E in bits 2-3, F in bits 4-5.
+const (
+	backFromE   = 1 << 2 // E extended a vertical gap (else opened from M)
+	backFromF   = 2 << 4 // F extended a horizontal gap (else opened from M)
+	backEShift  = 2
+	backFShift  = 4
+	backLayerMk = 3
+)
+
+// bandCell is one band cell's score in each DP layer: M (last op
+// diagonal), E (gap consuming q) and F (gap consuming s).
+type bandCell struct{ m, e, f int }
+
+// alignScratch holds the reusable buffers of the banded global aligner: two
+// rolling band rows of three-layer cells, one packed backpointer byte per
+// band cell, and the substitution-score profile of the subject for each
+// distinct query code. Once the buffers have grown to the largest band seen, an alignment
+// allocates nothing. The Engine owns one next to its gapScratch; it is not
+// safe for concurrent use.
+type alignScratch struct {
+	rows  []bandCell // the previous and the current band row, width+1 cells each
+	back  []byte     // (nq+1) × width packed backpointers
+	prof  []int      // one len(s) row of Score(c, s[j]) per distinct query code c
+	slot  [256]int32 // profile row of code c, plus one; 0 = not profiled
+	codes []byte     // the codes profiled by the current call
+	// ops is the alignment path of the last call made with withOps, in
+	// alignment order. It aliases scratch storage until the next call.
+	ops []EditOp
+}
+
+// align aligns q against s end-to-end with affine gaps inside a diagonal
+// band and returns the optimal score and the statistics of its path. The
+// band half-width is |len(q)-len(s)| + pad, enough for any path whose gap
+// total is within pad of the minimum; it recovers alignment statistics for
+// an HSP whose rectangle is already fixed by the X-drop extension. With
+// withOps the path is also left in sc.ops for rendering.
+//
+// The three-layer recurrence (M: last op diagonal, E: gap consuming q, F:
+// gap consuming s) keeps only the previous and the current band row; the traceback runs over the packed backpointers and counts the
+// statistics as it goes. Ties prefer M, then E, then F.
+func (sc *alignScratch) align(q, s []byte, m Matrix, gaps GapCosts, pad int, withOps bool) (int, AlignStats, error) {
+	sc.ops = sc.ops[:0]
 	nq, ns := len(q), len(s)
 	if nq == 0 || ns == 0 {
 		// Degenerate: pure gap alignment.
-		ops := make([]EditOp, 0, nq+ns)
-		score := 0
+		score, op := 0, OpInsQ
 		if nq > 0 {
 			score = -(gaps.Open + gaps.Extend*nq)
-			for i := 0; i < nq; i++ {
-				ops = append(ops, OpInsQ)
-			}
 		} else if ns > 0 {
-			score = -(gaps.Open + gaps.Extend*ns)
-			for i := 0; i < ns; i++ {
-				ops = append(ops, OpInsS)
+			score, op = -(gaps.Open + gaps.Extend*ns), OpInsS
+		}
+		if withOps {
+			for x := 0; x < nq+ns; x++ {
+				sc.ops = append(sc.ops, op)
 			}
 		}
-		return score, ops, nil
+		return score, AlignStats{Gaps: nq + ns, AlignLen: nq + ns}, nil
 	}
+	// Band: row i holds columns [i-half, i+half] ∩ [0, ns]; cell (i, j)
+	// lives at band offset j-i+half of its row.
 	half := abs(nq-ns) + pad
-	// Band: for row i, columns in [i-half, i+half] intersected with [0, ns].
 	width := 2*half + 1
-	idx := func(i, j int) (int, bool) {
-		off := j - (i - half)
-		if off < 0 || off >= width {
-			return 0, false
-		}
-		return i*width + off, true
+	if endOff := ns - nq + half; endOff < 0 || endOff >= width {
+		return 0, AlignStats{}, fmt.Errorf("blast: band too narrow for %dx%d alignment", nq, ns)
 	}
-	// Three DP layers: M (last op diagonal), E (gap consuming q), F (gap
-	// consuming s), each with backpointers packed as (layer<<...) — store
-	// separate byte arrays.
-	size := (nq + 1) * width
-	mS := make([]int, size)
-	eS := make([]int, size)
-	fS := make([]int, size)
-	for i := range mS {
-		mS[i], eS[i], fS[i] = negInf, negInf, negInf
-	}
-	// back[k] bits: 0-1 from-layer for M, 2-3 for E, 4-5 for F
-	// layer encoding: 0=M, 1=E, 2=F.
-	backM := make([]byte, size)
-	backE := make([]byte, size)
-	backF := make([]byte, size)
-
 	openExt := gaps.Open + gaps.Extend
-	if k, ok := idx(0, 0); ok {
-		mS[k] = 0
+	ext := gaps.Extend
+
+	rw := width + 1
+	if cap(sc.rows) < 2*rw {
+		sc.rows = make([]bandCell, 2*rw)
 	}
+	prev, cur := sc.rows[:rw], sc.rows[rw:2*rw]
+	for x := range sc.rows[:2*rw] {
+		sc.rows[x] = bandCell{negInf, negInf, negInf}
+	}
+	// Offset width is outside the band. Only the vertical (E) recurrence
+	// reaches it, from the row's last cell when that cell sits on the band
+	// edge; this sentinel makes that cell's E exactly negInf, opened from
+	// M, as if it had not been computed.
+	prev[width] = bandCell{m: negInf + openExt, e: negInf + ext, f: negInf}
+	cur[width] = prev[width]
+
+	if n := (nq + 1) * width; cap(sc.back) < n {
+		sc.back = make([]byte, n)
+	}
+	back := sc.back[:(nq+1)*width]
+	prof := sc.profile(q, s, m)
+
+	// Row 0 (the current row until the first swap): the empty query prefix
+	// against s[:j], reachable only by a horizontal gap opened at (0, 0).
+	cur[half].m = 0
+	back[half] = 0
 	for j := 1; j <= min(ns, half); j++ {
-		if k, ok := idx(0, j); ok {
-			fS[k] = -(gaps.Open + gaps.Extend*j)
-			if kp, okp := idx(0, j-1); okp && j > 1 {
-				_ = kp
-				backF[k] = 2 // extend F
-			} else {
-				backF[k] = 0 // open from M at (0,0)
-			}
+		cur[half+j].f = -(gaps.Open + gaps.Extend*j)
+		back[half+j] = 0
+		if j > 1 {
+			back[half+j] = backFromF
 		}
 	}
+
 	for i := 1; i <= nq; i++ {
-		lo := max(0, i-half)
-		hi := min(ns, i+half)
-		for j := lo; j <= hi; j++ {
-			k, ok := idx(i, j)
-			if !ok {
-				continue
-			}
-			// E: gap consuming q (from row i-1, same column).
-			if kp, okp := idx(i-1, j); okp {
-				open := mS[kp] - openExt
-				ext := eS[kp] - gaps.Extend
-				if open >= ext {
-					eS[k] = open
-					backE[k] = 0
-				} else {
-					eS[k] = ext
-					backE[k] = 1
-				}
-			}
-			// F: gap consuming s (from column j-1, same row).
-			if j > lo || j > 0 {
-				if kp, okp := idx(i, j-1); okp {
-					open := mS[kp] - openExt
-					ext := fS[kp] - gaps.Extend
-					if open >= ext {
-						fS[k] = open
-						backF[k] = 0
-					} else {
-						fS[k] = ext
-						backF[k] = 2
-					}
-				}
-			}
-			// M: diagonal.
-			if i >= 1 && j >= 1 {
-				if kp, okp := idx(i-1, j-1); okp {
-					d := max(mS[kp], max(eS[kp], fS[kp]))
-					if d > negInf/2 {
-						sc := d + m.Score(q[i-1], s[j-1])
-						mS[k] = sc
-						switch {
-						case d == mS[kp]:
-							backM[k] = 0
-						case d == eS[kp]:
-							backM[k] = 1
-						default:
-							backM[k] = 2
-						}
-					}
-				}
-			}
+		prev, cur = cur, prev
+		lo, hi := max(0, i-half), min(ns, i+half)
+		off := lo - i + half
+		brow := back[i*width : (i+1)*width]
+		f, bf := negInf, byte(0) // F of cell (i, lo), from its left neighbour
+		if lo == 0 {
+			// Column 0: only a vertical gap reaches it.
+			open, x := prev[off+1].m-openExt, prev[off+1].e-ext
+			cur[off] = bandCell{m: negInf, e: max(open, x), f: negInf}
+			brow[off] = gapBack(open, x, backFromE)
+			lo, off = 1, off+1
+			open, x = negInf-openExt, negInf-ext
+			f, bf = max(open, x), gapBack(open, x, backFromF)
 		}
+		// Offsets [off, off+n) of this row hold columns [lo, hi]; the
+		// profile row is indexed by column-1.
+		n := hi - lo + 1
+		ps := prof[int(sc.slot[q[i-1]]-1)*ns+lo-1:][:n]
+		bandRow(cur[off:off+n], prev[off:off+n+1], brow[off:off+n], ps, f, bf, openExt, ext)
 	}
-	kEnd, ok := idx(nq, ns)
-	if !ok {
-		return 0, nil, fmt.Errorf("blast: band too narrow for %dx%d alignment", nq, ns)
+
+	end := cur[ns-nq+half]
+	layer, best := 0, end.m
+	if end.e > best {
+		best, layer = end.e, 1
 	}
-	layer := 0
-	best := mS[kEnd]
-	if eS[kEnd] > best {
-		best, layer = eS[kEnd], 1
-	}
-	if fS[kEnd] > best {
-		best, layer = fS[kEnd], 2
+	if end.f > best {
+		best, layer = end.f, 2
 	}
 	if best <= negInf/2 {
-		return 0, nil, fmt.Errorf("blast: no path within band for %dx%d alignment", nq, ns)
+		return 0, AlignStats{}, fmt.Errorf("blast: no path within band for %dx%d alignment", nq, ns)
 	}
 
-	// Traceback.
-	var rev []EditOp
+	// Traceback, counting the statistics on the way.
+	var st AlignStats
 	i, j := nq, ns
 	for i > 0 || j > 0 {
-		k, okk := idx(i, j)
-		if !okk {
-			return 0, nil, fmt.Errorf("blast: traceback left the band at (%d,%d)", i, j)
+		off := j - i + half
+		if off < 0 || off >= width {
+			return 0, AlignStats{}, fmt.Errorf("blast: traceback left the band at (%d,%d)", i, j)
 		}
+		b := back[i*width+off]
+		st.AlignLen++
 		switch layer {
 		case 0:
-			rev = append(rev, OpMatch)
-			layer = int(backM[k])
+			layer = int(b & backLayerMk)
 			i--
 			j--
-		case 1:
-			rev = append(rev, OpInsQ)
-			layer = int(backE[k])
-			i--
-		case 2:
-			rev = append(rev, OpInsS)
-			layer = int(backF[k])
-			j--
-		}
-	}
-	ops := make([]EditOp, len(rev))
-	for x := range rev {
-		ops[x] = rev[len(rev)-1-x]
-	}
-	return best, ops, nil
-}
-
-// alignmentStats walks an edit path and counts identities, mismatches and
-// gaps.
-func alignmentStats(q, s []byte, ops []EditOp) AlignStats {
-	var st AlignStats
-	qi, si := 0, 0
-	for _, op := range ops {
-		st.AlignLen++
-		switch op {
-		case OpMatch:
-			if q[qi] == s[si] {
+			if q[i] == s[j] {
 				st.Identities++
 			} else {
 				st.Mismatches++
 			}
-			qi++
-			si++
-		case OpInsQ:
+			if withOps {
+				sc.ops = append(sc.ops, OpMatch)
+			}
+		case 1:
+			layer = int(b >> backEShift & backLayerMk)
+			i--
 			st.Gaps++
-			qi++
-		case OpInsS:
+			if withOps {
+				sc.ops = append(sc.ops, OpInsQ)
+			}
+		case 2:
+			layer = int(b >> backFShift & backLayerMk)
+			j--
 			st.Gaps++
-			si++
+			if withOps {
+				sc.ops = append(sc.ops, OpInsS)
+			}
 		}
 	}
-	return st
+	for a, z := 0, len(sc.ops)-1; a < z; a, z = a+1, z-1 {
+		sc.ops[a], sc.ops[z] = sc.ops[z], sc.ops[a]
+	}
+	return best, st, nil
+}
+
+// bandRow computes one band row of the three-layer recurrence: cur[k] from
+// prev[k] (the cell up-left) and prev[k+1] (the cell above), with F carried
+// along the row from the cell to the left, starting at (f, bf). prof[k] is
+// the substitution score of cur[k]'s residue pair; back[k] receives the
+// packed backpointers. Every choice is a compare on score differences, so
+// the loop has no data-dependent branch except the reachability test.
+func bandRow(cur, prev []bandCell, back []byte, prof []int, f int, bf byte, openExt, ext int) {
+	n := len(cur)
+	diag, up := prev[:n], prev[1:n+1]
+	back = back[:n]
+	prof = prof[:n]
+	for k := 0; k < n; k++ {
+		// E: gap consuming q, from the cell above.
+		open, x := up[k].m-openExt, up[k].e-ext
+		e, be := max(open, x), gapBack(open, x, backFromE)
+		// M: diagonal, from the best layer of the cell up-left; ties
+		// prefer M, then E, then F.
+		dm, de, df := diag[k].m, diag[k].e, diag[k].f
+		d, bm := max(dm, de), byte(uint64(dm-de)>>63)
+		t := byte(uint64(d-df) >> 63)
+		d, bm = max(d, df), bm&^t|t<<1
+		mv := d + prof[k]
+		if d <= negInf/2 {
+			mv, bm = negInf, 0
+		}
+		cur[k] = bandCell{mv, e, f}
+		back[k] = bm | be | bf
+		// F of the next cell: gap consuming s, from this cell.
+		open, x = mv-openExt, f-ext
+		f, bf = max(open, x), gapBack(open, x, backFromF)
+	}
+}
+
+// gapBack returns the backpointer bit for a gap layer whose value is
+// max(open, extend): bit when extending strictly wins, 0 when opening from
+// M wins or ties.
+func gapBack(open, extend int, bit byte) byte {
+	return byte(uint64(open-extend)>>63) * bit
+}
+
+// profile fills the score profile of s for every distinct code of q: row
+// sc.slot[c]-1 holds Score(c, s[j]) for each subject position j, so the DP
+// reads one slice per row instead of calling the Matrix per cell.
+func (sc *alignScratch) profile(q, s []byte, m Matrix) []int {
+	for _, c := range sc.codes {
+		sc.slot[c] = 0
+	}
+	sc.codes = sc.codes[:0]
+	for _, c := range q {
+		if sc.slot[c] == 0 {
+			sc.codes = append(sc.codes, c)
+			sc.slot[c] = int32(len(sc.codes))
+		}
+	}
+	n := len(sc.codes) * len(s)
+	if cap(sc.prof) < n {
+		sc.prof = make([]int, n)
+	}
+	prof := sc.prof[:n]
+	for r, c := range sc.codes {
+		row := prof[r*len(s):][:len(s)]
+		for j, b := range s {
+			row[j] = m.Score(c, b)
+		}
+	}
+	return prof
 }

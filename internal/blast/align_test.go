@@ -8,6 +8,13 @@ import (
 
 func dnaCodes(s string) []byte { return bio.EncodeDNA([]byte(s)) }
 
+// alignOps runs the banded aligner and returns its score and edit path.
+func alignOps(q, s []byte, m Matrix, g GapCosts, pad int) (int, []EditOp, error) {
+	var sc alignScratch
+	score, _, err := sc.align(q, s, m, g, pad, true)
+	return score, sc.ops, err
+}
+
 func TestExtendUngappedExact(t *testing.T) {
 	m := DefaultDNAMatrix()
 	q := dnaCodes("ACGTACGTACGT")
@@ -124,7 +131,7 @@ func TestBandedGlobalAlignExact(t *testing.T) {
 	m := DefaultDNAMatrix()
 	g := DefaultDNAGaps()
 	q := dnaCodes("ACGTACGT")
-	score, ops, err := bandedGlobalAlign(q, q, m, g, 8)
+	score, ops, err := alignOps(q, q, m, g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +149,7 @@ func TestBandedGlobalAlignWithGap(t *testing.T) {
 	g := GapCosts{Open: 2, Extend: 1}
 	q := dnaCodes("ACGTACGT")
 	s := dnaCodes("ACGTAACGT") // one insertion in subject
-	score, ops, err := bandedGlobalAlign(q, s, m, g, 8)
+	score, ops, err := alignOps(q, s, m, g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +165,7 @@ func TestBandedGlobalAlignWithGap(t *testing.T) {
 func TestBandedGlobalAlignDegenerate(t *testing.T) {
 	m := DefaultDNAMatrix()
 	g := GapCosts{Open: 2, Extend: 1}
-	score, ops, err := bandedGlobalAlign(dnaCodes("ACG"), nil, m, g, 4)
+	score, ops, err := alignOps(dnaCodes("ACG"), nil, m, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +182,7 @@ func TestBandedGlobalAlignMismatchOnly(t *testing.T) {
 	g := DefaultDNAGaps()
 	q := dnaCodes("AAAA")
 	s := dnaCodes("TTTT")
-	_, ops, err := bandedGlobalAlign(q, s, m, g, 4)
+	_, ops, err := alignOps(q, s, m, g, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +196,7 @@ func TestBandedGlobalAlignProtein(t *testing.T) {
 	m := Blosum62()
 	g := DefaultProteinGaps()
 	q := bio.EncodeProtein([]byte("MKVLATRE"))
-	score, ops, err := bandedGlobalAlign(q, q, m, g, 8)
+	score, ops, err := alignOps(q, q, m, g, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

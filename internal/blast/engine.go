@@ -17,8 +17,8 @@ type Subject struct {
 
 // Engine searches one block of queries against a stream of database
 // subjects: the unit of work the paper's map() executes for a (query block,
-// DB partition) work item. Build it once per block, then call SearchSubject
-// for every sequence of the partition.
+// DB partition) work item. Build it once per block (or Reset it to the next
+// block), then call SearchSubject for every sequence of the partition.
 //
 // An Engine keeps reusable scan scratch state and is NOT safe for concurrent
 // use; in the parallel drivers each MPI rank owns its engine.
@@ -26,6 +26,7 @@ type Engine struct {
 	params   Params
 	qs       *QuerySet
 	lookup   Lookup
+	masked   []byte // soft-masked concat the lookup is built from
 	ungapped KarlinParams
 	gapped   KarlinParams
 
@@ -59,6 +60,7 @@ type Engine struct {
 	keep      []bool
 	cull      cullScratch
 	gap       gapScratch
+	aln       alignScratch
 	perQEpoch []int32 // epoch stamp per query for the HSP-per-subject cap
 	perQCount []int32
 
@@ -84,13 +86,12 @@ func NewEngine(queries []*bio.Sequence, p Params) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	qs, err := NewQuerySetStrand(queries, p.Alpha, p.Strand)
-	if err != nil {
+	e := &Engine{params: p}
+	if err := e.Reset(queries); err != nil {
 		return nil, err
 	}
-	e := &Engine{params: p, qs: qs}
-
 	freqs := BackgroundFreqs(p.Alpha)
+	var err error
 	e.ungapped, err = ComputeUngappedKarlin(p.ScoreMatrix, freqs)
 	if err != nil {
 		return nil, fmt.Errorf("blast: ungapped statistics: %w", err)
@@ -99,13 +100,30 @@ func NewEngine(queries []*bio.Sequence, p Params) (*Engine, error) {
 	e.xdropU = bitsToRaw(p.XDropUngappedBits, e.ungapped.Lambda)
 	e.xdropG = bitsToRaw(p.XDropGappedBits, e.gapped.Lambda)
 	e.gapTrigger = e.ungapped.RawScore(p.GapTriggerBits)
+	return e, nil
+}
 
+// Reset re-targets the engine at a new query block with the same Params:
+// afterwards it searches exactly as NewEngine(queries, params) would, but
+// the lookup table, the per-query arrays and all scan and extension
+// scratch are rebuilt into the previous block's storage instead of being
+// allocated afresh. Stats restart from zero, and SetDatabaseDims must be
+// called again before searching. The diagonal arrays keep their stamps:
+// the epoch counter runs on, so no stamp from an earlier block can equal a
+// later subject's epoch, while the per-query stamps are invalidated. On
+// error the engine is unusable.
+func (e *Engine) Reset(queries []*bio.Sequence) error {
+	p := e.params
+	qs, err := NewQuerySetStrand(queries, p.Alpha, p.Strand)
+	if err != nil {
+		return err
+	}
 	// Soft-mask a copy of the concat for lookup building.
-	concat := qs.Concat
+	maskedQS := *qs
 	if p.Filter {
-		masked := append([]byte(nil), qs.Concat...)
+		e.masked = append(e.masked[:0], qs.Concat...)
 		for _, c := range qs.Contexts {
-			region := masked[c.Start : c.Start+c.Len]
+			region := e.masked[c.Start : c.Start+c.Len]
 			var ivs []Interval
 			if p.Alpha == bio.DNA {
 				ivs = DustMask(region)
@@ -114,27 +132,51 @@ func NewEngine(queries []*bio.Sequence, p Params) (*Engine, error) {
 			}
 			applyMask(region, ivs)
 		}
-		concat = masked
+		maskedQS.Concat = e.masked
 	}
-	maskedQS := *qs
-	maskedQS.Concat = concat
 	switch p.Alpha {
 	case bio.DNA:
-		e.lookup, err = NewDNALookup(&maskedQS, p.WordSize)
+		lk, ok := e.lookup.(*DNALookup)
+		if !ok {
+			lk = new(DNALookup)
+		}
+		e.lookup = lk
+		err = lk.build(&maskedQS, p.WordSize)
 	case bio.Protein:
-		e.lookup, err = NewProteinLookup(&maskedQS, p.WordSize, p.ScoreMatrix, p.NeighborThreshold)
+		lk, ok := e.lookup.(*ProteinLookup)
+		if !ok {
+			lk = new(ProteinLookup)
+		}
+		e.lookup = lk
+		err = lk.build(&maskedQS, p.WordSize, p.ScoreMatrix, p.NeighborThreshold)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	e.scanner = e.lookup.NewScanner()
-	e.searchSpaces = make([]SearchSpace, len(qs.IDs))
-	e.perQEpoch = make([]int32, len(qs.IDs))
-	e.perQCount = make([]int32, len(qs.IDs))
+	if e.scanner == nil {
+		e.scanner = e.lookup.NewScanner()
+	}
+	e.qs = qs
+	e.dbLen, e.dbSeqs = 0, 0
+	e.searchSpaces = resized(e.searchSpaces, len(qs.IDs))
+	e.perQEpoch = resized(e.perQEpoch, len(qs.IDs))
+	e.perQCount = resized(e.perQCount, len(qs.IDs))
 	for i := range e.perQEpoch {
 		e.perQEpoch[i] = -1
 	}
-	return e, nil
+	e.Stats = EngineStats{}
+	return nil
+}
+
+// resized returns a zeroed slice of length n, reusing s's storage when it
+// is large enough.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // bitsToRaw converts an X-drop in bits to raw score units (NCBI's
@@ -385,11 +427,8 @@ func (e *Engine) finishSubject(subj Subject, seeds []seed) ([]*HSP, error) {
 		// Alignment statistics via banded traceback over the HSP rectangle.
 		qseg := concat[cd.qlo:cd.qhi]
 		sseg := subj.Codes[cd.slo:cd.shi]
-		_, ops, err := bandedGlobalAlign(qseg, sseg, e.params.ScoreMatrix, e.params.Gaps, 64)
-		var st AlignStats
-		if err == nil {
-			st = alignmentStats(qseg, sseg, ops)
-		} else {
+		_, st, err := e.aln.align(qseg, sseg, e.params.ScoreMatrix, e.params.Gaps, 64, false)
+		if err != nil {
 			// Band overflow on a pathological alignment: fall back to
 			// length-based bounds rather than failing the search.
 			st = AlignStats{AlignLen: max(len(qseg), len(sseg))}
@@ -410,6 +449,11 @@ func (e *Engine) finishSubject(subj Subject, seeds []seed) ([]*HSP, error) {
 			Identities: st.Identities,
 			Gaps:       st.Gaps,
 			AlignLen:   st.AlignLen,
+		}
+		if hsps == nil {
+			// One allocation for the result: the candidates left bound
+			// the HSPs still to come.
+			hsps = make([]*HSP, 0, len(cands)-i)
 		}
 		hsps = append(hsps, h)
 		e.Stats.HSPsReported++

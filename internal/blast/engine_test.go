@@ -1,6 +1,7 @@
 package blast
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -845,5 +846,90 @@ func TestDiagonalCoverageSkipsHitsAfterExtension(t *testing.T) {
 	}
 	if len(hsps) != 1 {
 		t.Errorf("got %d HSPs, want 1", len(hsps))
+	}
+}
+
+// TestEngineResetMatchesFresh: an engine re-targeted with Reset must search
+// every block exactly as a freshly built engine does — same HSPs, same
+// stats — while it grows and shrinks through blocks of different sizes, for
+// blastn with and without the DUST filter and for blastp.
+func TestEngineResetMatchesFresh(t *testing.T) {
+	g := bio.NewGenerator(bio.SynthParams{Seed: 7311})
+	type fixture struct {
+		name     string
+		params   Params
+		blocks   [][]*bio.Sequence
+		subjects []Subject
+	}
+	var fixtures []fixture
+	for _, filter := range []bool{false, true} {
+		genome := g.RandomDNA("genome", 6000)
+		strain := g.Mutate(genome, "strain", 0.05, 0.005, bio.DNA)
+		reads, err := bio.Shred(strain, bio.ShredParams{FragLen: 300, Overlap: 100, MinLen: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := DefaultNucleotideParams()
+		p.Filter = filter
+		fixtures = append(fixtures, fixture{
+			name:     fmt.Sprintf("blastn filter=%v", filter),
+			params:   p,
+			blocks:   [][]*bio.Sequence{reads[:12], reads[12:14], reads[14:], reads[:5]},
+			subjects: []Subject{EncodeSubject(genome, bio.DNA), EncodeSubject(g.RandomDNA("bg", 3000), bio.DNA)},
+		})
+	}
+	var prots []*bio.Sequence
+	for i := 0; i < 6; i++ {
+		prots = append(prots, g.RandomProtein(fmt.Sprintf("p%d", i), 120+40*i))
+	}
+	fixtures = append(fixtures, fixture{
+		name:   "blastp",
+		params: DefaultProteinParams(),
+		blocks: [][]*bio.Sequence{prots[:4], prots[4:], prots[1:3]},
+		subjects: []Subject{
+			EncodeSubject(g.Mutate(prots[1], "s1", 0.3, 0.02, bio.Protein), bio.Protein),
+			EncodeSubject(g.Mutate(prots[4], "s4", 0.3, 0.02, bio.Protein), bio.Protein),
+		},
+	})
+	for _, fx := range fixtures {
+		search := func(e *Engine) ([]string, EngineStats) {
+			t.Helper()
+			e.SetDatabaseDims(100000, 10)
+			hsps, err := e.SearchSubjects(fx.subjects)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var lines []string
+			for _, h := range hsps {
+				lines = append(lines, h.String())
+			}
+			return lines, e.Stats
+		}
+		var reused *Engine
+		hits := 0
+		for bi, block := range fx.blocks {
+			fresh, err := NewEngine(block, fx.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if reused == nil {
+				reused, err = NewEngine(block, fx.params)
+			} else {
+				err = reused.Reset(block)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantStats := search(fresh)
+			got, gotStats := search(reused)
+			if strings.Join(got, "\n") != strings.Join(want, "\n") || gotStats != wantStats {
+				t.Fatalf("%s block %d: reset engine found %d HSPs %+v, fresh %d HSPs %+v",
+					fx.name, bi, len(got), gotStats, len(want), wantStats)
+			}
+			hits += len(want)
+		}
+		if hits == 0 {
+			t.Fatalf("%s: no HSPs in any block; fixture broken", fx.name)
+		}
 	}
 }

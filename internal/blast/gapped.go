@@ -37,9 +37,17 @@ func extendGapped(q []byte, qloBound, qhiBound int, s []byte, qseed, sseed int, 
 	// Right half includes the seed pair: align q[qseed..qhiBound) with
 	// s[sseed..len).
 	rScore, rq, rs := xdropHalfScratch(q[qseed:qhiBound], s[sseed:], m, gaps, xdrop, sc)
-	// Left half: reversed prefixes, excluding the seed pair.
+	// Left half: reversed prefixes, excluding the seed pair. Only the
+	// subject prefix the X-drop can reach is reversed: row 0 of the DP
+	// keeps at most xdrop/Extend live columns and each query row widens the
+	// window by at most one, so no column past len(lq)+xdrop/Extend+1 is
+	// ever read — and the width-1 cap never binds — on the bounded copy.
 	sc.lq = appendReversed(sc.lq[:0], q[qloBound:qseed])
-	sc.ls = appendReversed(sc.ls[:0], s[:sseed])
+	sfrom := 0
+	if gaps.Extend > 0 {
+		sfrom = max(0, sseed-(len(sc.lq)+xdrop/gaps.Extend+2))
+	}
+	sc.ls = appendReversed(sc.ls[:0], s[sfrom:sseed])
 	lScore, lqe, lse := xdropHalfScratch(sc.lq, sc.ls, m, gaps, xdrop, sc)
 	return gappedResult{
 		score: rScore + lScore,

@@ -60,6 +60,7 @@ type DNALookup struct {
 	positions []int32
 	shift     uint // hash shift: 64 - log2(len(keys))
 	nwords    int
+	wins      []dnaWindow // build scratch, kept for the next build
 }
 
 // hashMul is the 64-bit golden-ratio multiplier (Fibonacci hashing); the
@@ -69,16 +70,25 @@ const hashMul = 0x9E3779B97F4A7C15
 // NewDNALookup builds the lookup from every valid w-length window of the
 // query set.
 func NewDNALookup(qs *QuerySet, w int) (*DNALookup, error) {
+	lk := new(DNALookup)
+	if err := lk.build(qs, w); err != nil {
+		return nil, err
+	}
+	return lk, nil
+}
+
+// build fills the table from the query set, reusing the storage of the
+// table's previous build where it is large enough.
+func (lk *DNALookup) build(qs *QuerySet, w int) error {
 	if qs.Alpha != bio.DNA {
-		return nil, fmt.Errorf("blast: DNA lookup needs DNA queries, got %v", qs.Alpha)
+		return fmt.Errorf("blast: DNA lookup needs DNA queries, got %v", qs.Alpha)
 	}
 	if w < 4 || w > 31 {
-		return nil, fmt.Errorf("blast: DNA word size must be in 4..31, got %d", w)
+		return fmt.Errorf("blast: DNA word size must be in 4..31, got %d", w)
 	}
-	lk := &DNALookup{
-		w:    w,
-		mask: (uint64(1) << (2 * w)) - 1,
-	}
+	lk.w = w
+	lk.mask = (uint64(1) << (2 * w)) - 1
+	lk.nwords = 0
 
 	// Upper bound on registered windows sizes the table at load factor
 	// <= 0.5 (distinct words <= total windows).
@@ -92,15 +102,18 @@ func NewDNALookup(qs *QuerySet, w int) (*DNALookup, error) {
 	for size < 2*nwin {
 		size <<= 1
 	}
-	lk.keys = make([]uint64, size)
-	lk.cellOff = make([]int32, size)
-	lk.cellLen = make([]int32, size)
+	lk.keys = resized(lk.keys, size)
+	lk.cellOff = resized(lk.cellOff, size)
+	lk.cellLen = resized(lk.cellLen, size)
 	lk.shift = uint(64 - bits.TrailingZeros(uint(size)))
 
-	// Pass 1: insert every distinct word, counting its occurrences.
+	// Pass 1: insert every distinct word, counting its occurrences, and
+	// remember each window's slot so pass 2 need not hash again.
+	lk.wins = lk.wins[:0]
 	lk.eachWord(qs, func(word uint64, start int32) {
 		slot := lk.insert(word)
 		lk.cellLen[slot]++
+		lk.wins = append(lk.wins, dnaWindow{slot: int32(slot), start: start})
 	})
 
 	// Prefix-sum the counts into arena offsets, then reset the counts so
@@ -113,14 +126,17 @@ func NewDNALookup(qs *QuerySet, w int) (*DNALookup, error) {
 		total += n
 		lk.cellLen[i] = 0
 	}
-	lk.positions = make([]int32, total)
-	lk.eachWord(qs, func(word uint64, start int32) {
-		slot := lk.insert(word)
-		lk.positions[lk.cellOff[slot]+lk.cellLen[slot]] = start
-		lk.cellLen[slot]++
-	})
-	return lk, nil
+	lk.positions = resized(lk.positions, int(total))
+	for _, win := range lk.wins {
+		lk.positions[lk.cellOff[win.slot]+lk.cellLen[win.slot]] = win.start
+		lk.cellLen[win.slot]++
+	}
+	return nil
 }
+
+// dnaWindow is one query window of a lookup build: its table slot and its
+// concat start.
+type dnaWindow struct{ slot, start int32 }
 
 // eachWord walks every valid w-window of the query contexts with the same
 // rolling 2-bit word the scanner uses, invoking fn(word, concatStart).
@@ -264,17 +280,33 @@ const DefaultNeighborThreshold = 11
 // residues. Query windows containing non-standard letters (X, B, Z, *) or
 // masked residues are skipped, as NCBI does.
 func NewProteinLookup(qs *QuerySet, w int, m Matrix, threshold int) (*ProteinLookup, error) {
+	lk := new(ProteinLookup)
+	if err := lk.build(qs, w, m, threshold); err != nil {
+		return nil, err
+	}
+	return lk, nil
+}
+
+// build fills the table from the query set, keeping each cell's capacity
+// from the table's previous build.
+func (lk *ProteinLookup) build(qs *QuerySet, w int, m Matrix, threshold int) error {
 	if qs.Alpha != bio.Protein {
-		return nil, fmt.Errorf("blast: protein lookup needs protein queries, got %v", qs.Alpha)
+		return fmt.Errorf("blast: protein lookup needs protein queries, got %v", qs.Alpha)
 	}
 	if w != 2 && w != 3 {
-		return nil, fmt.Errorf("blast: protein word size must be 2 or 3, got %d", w)
+		return fmt.Errorf("blast: protein word size must be 2 or 3, got %d", w)
 	}
 	ncells := 1
 	for i := 0; i < w; i++ {
 		ncells *= bio.ProteinAlphabetSize
 	}
-	lk := &ProteinLookup{w: w, cells: make([][]int32, ncells)}
+	lk.w = w
+	if len(lk.cells) != ncells {
+		lk.cells = make([][]int32, ncells)
+	}
+	for i := range lk.cells {
+		lk.cells[i] = lk.cells[i][:0]
+	}
 
 	// rowMax[a] is the best score achievable against residue a, used to
 	// prune the neighborhood enumeration.
@@ -329,7 +361,7 @@ func NewProteinLookup(qs *QuerySet, w int, m Matrix, threshold int) (*ProteinLoo
 			add(qword, 0, 0, 0, c.Start+i)
 		}
 	}
-	return lk, nil
+	return nil
 }
 
 // W implements Lookup.

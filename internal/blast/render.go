@@ -51,10 +51,12 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 	} else {
 		scodes = bio.EncodeProtein(sseg)
 	}
-	score, ops, err := bandedGlobalAlign(qcodes, scodes, m, gaps, 64)
+	var aln alignScratch
+	score, _, err := aln.align(qcodes, scodes, m, gaps, 64, true)
 	if err != nil {
 		return "", err
 	}
+	ops := aln.ops
 	// Hits parsed back from TSV carry no raw score; fill it from the
 	// recomputed path so the header stays informative.
 	if h.Score == 0 {

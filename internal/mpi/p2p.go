@@ -82,6 +82,14 @@ func (c *Comm) sendOp(op string, dst, tag int, data any) {
 // no comm accounting) is two nil checks; the CI overhead gate pins it at
 // <=5ns per send.
 func (c *Comm) stampProvenance(m *message, dst int) {
+	if w := c.world; w.seqs != nil || w.tracers != nil {
+		c.stamp(m, dst)
+	}
+}
+
+// stamp is stampProvenance's enabled path, kept out of line so the nil
+// checks above inline into sendOp.
+func (c *Comm) stamp(m *message, dst int) {
 	w := c.world
 	if w.seqs != nil {
 		m.seq = w.seqs[c.rank*w.size+dst].Add(1)

@@ -289,17 +289,23 @@ func Run(comm *mpi.Comm, cfg Config) (*Result, error) {
 				if wtr != nil {
 					bsp = wtr.Begin("mrblast", "engine.build", obs.Arg{Key: "block", Val: bi})
 				}
-				eng, err := blast.NewEngine(cfg.QueryBlocks[bi], cfg.Params)
-				bsp.End()
-				if err != nil {
-					return fmt.Errorf("block %d: %w", bi, err)
-				}
-				if slot.engine != nil {
+				// A slot's first block builds its engine; later blocks
+				// rebuild into the same engine's storage.
+				var err error
+				if slot.engine == nil {
+					slot.engine, err = blast.NewEngine(cfg.QueryBlocks[bi], cfg.Params)
+				} else {
 					mu.Lock()
 					res.EngineStats = addStats(res.EngineStats, slot.engine.Stats)
 					mu.Unlock()
+					err = slot.engine.Reset(cfg.QueryBlocks[bi])
 				}
-				slot.engine, slot.cachedBlock = eng, bi
+				bsp.End()
+				if err != nil {
+					slot.engine, slot.cachedBlock = nil, -1
+					return fmt.Errorf("block %d: %w", bi, err)
+				}
+				slot.cachedBlock = bi
 			}
 			eng := slot.engine
 			eng.SetDatabaseDims(cfg.Manifest.TotalResidues, cfg.Manifest.NumSeqs)

@@ -168,6 +168,12 @@ func (r *Rank) RecordSend(dst, tag int, bytes int64, seq uint64) {
 	if r == nil {
 		return
 	}
+	r.recordSend(dst, bytes, seq)
+}
+
+// recordSend is RecordSend's enabled path, kept out of line so the nil
+// check above inlines into the MPI send path.
+func (r *Rank) recordSend(dst int, bytes int64, seq uint64) {
 	k := linkKey{peer: dst, phase: r.Phase()}
 	r.mu.Lock()
 	a := r.sent[k]
@@ -194,6 +200,12 @@ func (r *Rank) RecordRecv(src, tag int, bytes int64, queueNS, transferNS int64, 
 	if r == nil {
 		return
 	}
+	r.recordRecv(src, bytes, queueNS, transferNS, seq, phase)
+}
+
+// recordRecv is RecordRecv's enabled path, kept out of line so the nil
+// check above inlines into the MPI receive path.
+func (r *Rank) recordRecv(src int, bytes int64, queueNS, transferNS int64, seq uint64, phase string) {
 	k := linkKey{peer: src, phase: phase}
 	r.mu.Lock()
 	a := r.rcvd[k]

@@ -180,6 +180,12 @@ func (rt *RankTracer) Begin(cat, name string, args ...Arg) Span {
 	if rt == nil {
 		return Span{}
 	}
+	return rt.begin(cat, name, args)
+}
+
+// begin is Begin's enabled path, kept out of line so the nil check above
+// inlines into every call site.
+func (rt *RankTracer) begin(cat, name string, args []Arg) Span {
 	st := rt.st
 	st.mu.Lock()
 	ts := st.now()
@@ -200,11 +206,16 @@ func (s Span) Active() bool { return s.rt != nil }
 // (e.g. an explicit End shadowed by a deferred one) is a no-op the second
 // time.
 func (s Span) End(args ...Arg) {
-	rt := s.rt
-	if rt == nil {
+	if s.rt == nil {
 		return
 	}
-	st := rt.st
+	s.end(args)
+}
+
+// end is End's enabled path, kept out of line so the nil check above
+// inlines into every call site.
+func (s Span) end(args []Arg) {
+	st := s.rt.st
 	st.mu.Lock()
 	for i := len(st.open) - 1; i >= 0; i-- {
 		if st.open[i].id != s.id {
