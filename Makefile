@@ -82,7 +82,7 @@ bench-shuffle:
 # fails by itself when allocs/op exceed the HSPs it reports plus one.
 bench-engine:
 	$(GO) test -bench 'BenchmarkSearchSubject|BenchmarkProteinScan|BenchmarkCullContained|BenchmarkBandedAlignStats' -benchmem -run '^$$' ./internal/blast
-	$(GO) test -bench 'BenchmarkBatchAccumulate|BenchmarkBMU' -benchmem -run '^$$' ./internal/som
+	$(GO) test -bench 'BenchmarkBatchAccumulate|BenchmarkBMU|BenchmarkQuality' -benchmem -run '^$$' ./internal/som
 
 # Perf-regression harness: run the pinned suite and write the next free
 # BENCH_<n>.json (timings, registry metrics, analyzer stats). Compare two

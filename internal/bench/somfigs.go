@@ -37,11 +37,8 @@ func Fig7(outDir string, gridW, gridH, nVectors, epochs int) (*SOMFigResult, err
 	if err := som.TrainBatch(cb, data, nVectors, som.TrainParams{Epochs: epochs}); err != nil {
 		return nil, err
 	}
-	res := &SOMFigResult{
-		Codebook: cb,
-		QuantErr: som.QuantizationError(cb, data, nVectors),
-		TopoErr:  som.TopographicError(cb, data, nVectors),
-	}
+	res := &SOMFigResult{Codebook: cb}
+	res.QuantErr, res.TopoErr = som.Quality(cb, data, nVectors, 1)
 	if outDir != "" {
 		colors := filepath.Join(outDir, "fig7_rgb_codebook.ppm")
 		if err := som.WriteCodebookPPM(colors, cb); err != nil {
@@ -76,11 +73,8 @@ func Fig8(outDir string, gridW, gridH, nVectors, dim, epochs int) (*SOMFigResult
 	if err := som.TrainBatch(cb, data, nVectors, som.TrainParams{Epochs: epochs}); err != nil {
 		return nil, err
 	}
-	res := &SOMFigResult{
-		Codebook: cb,
-		QuantErr: som.QuantizationError(cb, data, nVectors),
-		TopoErr:  som.TopographicError(cb, data, nVectors),
-	}
+	res := &SOMFigResult{Codebook: cb}
+	res.QuantErr, res.TopoErr = som.Quality(cb, data, nVectors, 1)
 	if outDir != "" {
 		um := filepath.Join(outDir, fmt.Sprintf("fig8_umatrix_%dd.pgm", dim))
 		if err := som.WritePGM(um, som.UMatrix(cb)); err != nil {

@@ -327,8 +327,8 @@ func RunSOM(nranks int, job SOMJob) (*SOMSummary, error) {
 	if err != nil {
 		return nil, err
 	}
-	summary.QuantErr = som.QuantizationError(cb, data, n)
-	summary.TopoErr = som.TopographicError(cb, data, n)
+	// The ranks have finished, so the quality pass may use every CPU.
+	summary.QuantErr, summary.TopoErr = som.Quality(cb, data, n, runtime.GOMAXPROCS(0))
 	return summary, nil
 }
 

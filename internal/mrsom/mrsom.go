@@ -180,6 +180,8 @@ func TrainFile(comm *mpi.Comm, vf *som.VectorFile, cfg Config) (*Result, error) 
 
 	res := &Result{}
 	var mu sync.Mutex
+	// The rank's kernel scratch: its neighborhood weight table depends only
+	// on σ, so the epoch's first block builds it and later blocks reuse it.
 	var accSc som.AccumScratch
 	tr := comm.Tracer()
 	mr := mrmpi.NewWith(comm, mrmpi.Options{MapStyle: cfg.MapStyle})

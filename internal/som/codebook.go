@@ -84,36 +84,65 @@ func (cb *Codebook) InitLinear(data []float64, n int) error {
 // with the squared distance. Ties break toward the lowest index, which
 // keeps serial and parallel training bit-identical.
 //
-// The distance loop is blocked by four elements with the early-exit test
-// hoisted to block boundaries; partial sums still accumulate one element at
-// a time in index order, so the winning neuron and its distance are
-// bit-identical to the plain per-element scan.
+// Neurons are scanned four at a time, each with its own running sum in
+// index order, so the four dependent add chains overlap. The early exit is
+// hoisted to four-element block boundaries and taken only once all four
+// partial sums have reached the best distance of the neurons before the
+// group; a partial sum only grows, so no neuron that could win is dropped.
+// Survivors are then finished and resolved in ascending index with strict
+// <, exactly as a one-neuron-at-a-time scan would: the winner and its
+// distance (the full sequential sum) are bit-identical to the plain
+// per-element scan.
 func (cb *Codebook) BMU(x []float64) (int, float64) {
 	dim := cb.Dim
 	ws := cb.Weights
+	x = x[:dim]
 	best := 0
 	bestD := distSq(ws[:dim], x)
-	for k, off := 1, dim; off < len(ws); k, off = k+1, off+dim {
-		w := ws[off : off+dim : off+dim]
-		s := 0.0
+	k, off := 1, dim
+	for ; off+4*dim <= len(ws); k, off = k+4, off+4*dim {
+		w0 := ws[off : off+dim : off+dim]
+		w1 := ws[off+dim : off+2*dim : off+2*dim]
+		w2 := ws[off+2*dim : off+3*dim : off+3*dim]
+		w3 := ws[off+3*dim : off+4*dim : off+4*dim]
+		var s0, s1, s2, s3 float64
 		i := 0
-		for i+4 <= dim && s < bestD {
-			d0 := w[i] - x[i]
-			s += d0 * d0
-			d1 := w[i+1] - x[i+1]
-			s += d1 * d1
-			d2 := w[i+2] - x[i+2]
-			s += d2 * d2
-			d3 := w[i+3] - x[i+3]
-			s += d3 * d3
-			i += 4
+		for ; i+4 <= dim && (s0 < bestD || s1 < bestD || s2 < bestD || s3 < bestD); i += 4 {
+			x4 := x[i : i+4 : i+4]
+			s0 = addSq4(s0, w0[i:i+4:i+4], x4)
+			s1 = addSq4(s1, w1[i:i+4:i+4], x4)
+			s2 = addSq4(s2, w2[i:i+4:i+4], x4)
+			s3 = addSq4(s3, w3[i:i+4:i+4], x4)
 		}
-		if s < bestD {
-			for ; i < dim; i++ {
-				d := w[i] - x[i]
-				s += d * d
+		if i+4 <= dim {
+			continue // all four reached the bound
+		}
+		if s0 < bestD {
+			if s0 = distSqFrom(w0, x, i, s0); s0 < bestD {
+				best, bestD = k, s0
 			}
-			if s < bestD {
+		}
+		if s1 < bestD {
+			if s1 = distSqFrom(w1, x, i, s1); s1 < bestD {
+				best, bestD = k+1, s1
+			}
+		}
+		if s2 < bestD {
+			if s2 = distSqFrom(w2, x, i, s2); s2 < bestD {
+				best, bestD = k+2, s2
+			}
+		}
+		if s3 < bestD {
+			if s3 = distSqFrom(w3, x, i, s3); s3 < bestD {
+				best, bestD = k+3, s3
+			}
+		}
+	}
+	for ; off < len(ws); k, off = k+1, off+dim {
+		w := ws[off : off+dim : off+dim]
+		s, i := blockedDistSq(w, x, bestD)
+		if s < bestD {
+			if s = distSqFrom(w, x, i, s); s < bestD {
 				best, bestD = k, s
 			}
 		}
@@ -121,44 +150,86 @@ func (cb *Codebook) BMU(x []float64) (int, float64) {
 	return best, bestD
 }
 
-// SecondBMU returns the indexes of the two nearest neurons (for the
-// topographic error metric).
-func (cb *Codebook) SecondBMU(x []float64) (int, int) {
-	b1, b2 := -1, -1
-	d1, d2 := math.Inf(1), math.Inf(1)
-	for k := 0; k < cb.Grid.Cells(); k++ {
-		d := distSq(cb.Vector(k), x)
-		switch {
-		case d < d1:
-			b2, d2 = b1, d1
-			b1, d1 = k, d
-		case d < d2:
-			b2, d2 = k, d
-		}
+// blockedDistSq sums (w[i]−x[i])² in index order over whole four-element
+// blocks while the partial sum stays below bound, and returns it with the
+// index it stopped at.
+func blockedDistSq(w, x []float64, bound float64) (float64, int) {
+	s := 0.0
+	i := 0
+	for ; i+4 <= len(w) && s < bound; i += 4 {
+		s = addSq4(s, w[i:i+4:i+4], x[i:i+4:i+4])
 	}
+	return s, i
+}
+
+// addSq4 adds (w[j]−x[j])² for j = 0..3 to s, one element at a time in
+// index order.
+func addSq4(s float64, w, x []float64) float64 {
+	w, x = w[:4], x[:4]
+	d0 := w[0] - x[0]
+	s += d0 * d0
+	d1 := w[1] - x[1]
+	s += d1 * d1
+	d2 := w[2] - x[2]
+	s += d2 * d2
+	d3 := w[3] - x[3]
+	s += d3 * d3
+	return s
+}
+
+// distSqFrom continues the partial sum s of (w[j]−x[j])² from index i to
+// the end.
+func distSqFrom(w, x []float64, i int, s float64) float64 {
+	x = x[:len(w)]
+	for ; i < len(w); i++ {
+		d := w[i] - x[i]
+		s += d * d
+	}
+	return s
+}
+
+// SecondBMU returns the indexes of the two nearest neurons (for the
+// topographic error metric); b2 is −1 on a one-neuron map.
+func (cb *Codebook) SecondBMU(x []float64) (int, int) {
+	b1, b2, _ := cb.nearestTwo(x)
 	return b1, b2
 }
 
-func distSq(a, b []float64) float64 {
-	s := 0.0
-	for i, x := range a {
-		d := x - b[i]
-		s += d * d
+// nearestTwo finds the two nearest neurons in one pass, abandoning a
+// neuron's distance at a block boundary once it reaches the second-best
+// distance (it can then be neither first nor second). Ties break toward the
+// lower index and a NaN distance never places, as in a full scan. bmuD is
+// the squared distance BMU reports for x: the nearest distance, except that
+// BMU never moves off a first neuron whose distance is NaN.
+func (cb *Codebook) nearestTwo(x []float64) (b1, b2 int, bmuD float64) {
+	dim := cb.Dim
+	ws := cb.Weights
+	x = x[:dim]
+	b1, b2 = -1, -1
+	d1, d2 := math.Inf(1), math.Inf(1)
+	d0 := distSq(ws[:dim], x)
+	if d0 < d1 {
+		b1, d1 = 0, d0
 	}
-	return s
-}
-
-// distSqBounded is distSq with early termination once the partial sum
-// exceeds bound — the standard BMU-search optimization the paper alludes to
-// ("stopping the distance comparisons earlier").
-func distSqBounded(a, b []float64, bound float64) float64 {
-	s := 0.0
-	for i, x := range a {
-		d := x - b[i]
-		s += d * d
-		if s >= bound {
-			return s
+	for k, off := 1, dim; off < len(ws); k, off = k+1, off+dim {
+		w := ws[off : off+dim : off+dim]
+		s, i := blockedDistSq(w, x, d2)
+		if !(s < d2) {
+			continue
+		}
+		s = distSqFrom(w, x, i, s)
+		switch {
+		case s < d1:
+			b2, d2 = b1, d1
+			b1, d1 = k, s
+		case s < d2:
+			b2, d2 = k, s
 		}
 	}
-	return s
+	if d0 != d0 {
+		return b1, b2, d0
+	}
+	return b1, b2, d1
 }
+
+func distSq(a, b []float64) float64 { return distSqFrom(a, b, 0, 0) }

@@ -97,6 +97,7 @@ func (g Grid) Dist2(a, b int) float64 {
 // arithmetic identical to Dist2, so the pruning never changes which cells
 // contribute — it only skips cells that would fail that test anyway.
 func (g Grid) neighborBox(b int, cutoff float64) (x0, y0, x1, y1 int) {
+	cutoff = g.clampCutoff(cutoff)
 	if g.Topo == Hex {
 		bpx, bpy := g.Position(b)
 		y0 = int(math.Floor((bpy - cutoff) / hexRowSpacing))
@@ -124,6 +125,18 @@ func (g Grid) neighborBox(b int, cutoff float64) (x0, y0, x1, y1 int) {
 		y1 = g.H - 1
 	}
 	return
+}
+
+// clampCutoff maps a kernel cutoff onto a radius that is safe to convert to
+// int. The exact test squares the cutoff, so a negative one reaches as far
+// as its magnitude. No two cells are W+H apart, so a larger cutoff (or +Inf,
+// or NaN, which fails every d² > cutoff² test) selects the whole grid.
+func (g Grid) clampCutoff(cutoff float64) float64 {
+	cutoff = math.Abs(cutoff)
+	if ext := float64(g.W + g.H); !(cutoff < ext) {
+		return ext
+	}
+	return cutoff
 }
 
 // Diagonal is the length of the map's main diagonal, the paper's reference

@@ -176,72 +176,152 @@ func BatchAccumulate(cb *Codebook, data []float64, n int, sigma float64, num, de
 
 // BatchAccumulateKernel is BatchAccumulate with an explicit neighborhood
 // kernel. It visits only the BMU's neighborhood bounding box per vector
-// (instead of the full grid) and allocates nothing; results are
-// bit-identical to the full-grid loop (see accumulateRows).
+// (instead of the full grid) and allocates nothing in steady state: its
+// scratch, including the tabulated neighborhood weights, comes from a pool.
+// Results are bit-identical to the full-grid loop (see accumulateRows).
 func BatchAccumulateKernel(cb *Codebook, data []float64, n int, sigma float64, kern Kernel, num, den []float64) {
-	cutoff := kernelCutoff(kern, sigma)
-	cutoff2 := cutoff * cutoff
-	for v := 0; v < n; v++ {
-		x := data[v*cb.Dim : (v+1)*cb.Dim]
-		bmu, _ := cb.BMU(x)
-		accumulateRows(cb, x, bmu, sigma, cutoff, cutoff2, kern, num, den, 0, cb.Grid.H)
+	BatchAccumulateWorkers(cb, data, n, sigma, kern, num, den, 1, nil)
+}
+
+// neighborhood is the accumulation kernel's per-(grid, kernel, σ) state:
+// the cutoff and, on Rect grids, the neighborhood weights h tabulated by
+// lattice offset. On a Rect grid the offsets dx, dy between a cell and the
+// BMU are exact small integers, so d² and h depend only on (|dx|, |dy|) and
+// one table serves every BMU. Hex rows sit at non-integer positions, where
+// (|dx|, |dy|) does not fix the bits of d², so Hex evaluates the kernel per
+// row (hexRow).
+type neighborhood struct {
+	grid            Grid
+	kern            Kernel
+	sigma           float64
+	cutoff, cutoff2 float64
+	valid           bool
+	// Rect only: w[|dy|·(2rx+1) + rx + dx] is h at lattice offset (dx, dy),
+	// 0 wherever the full-grid loop skips the cell (d² > cutoff² or h == 0).
+	rx int
+	w  []float64
+}
+
+// set re-targets the neighborhood at (g, kern, σ), rebuilding the weight
+// table only when one of them changed.
+func (nb *neighborhood) set(g Grid, kern Kernel, sigma float64) {
+	if nb.valid && nb.grid == g && nb.kern == kern && math.Float64bits(nb.sigma) == math.Float64bits(sigma) {
+		return
 	}
+	nb.grid, nb.kern, nb.sigma, nb.valid = g, kern, sigma, true
+	nb.cutoff = kernelCutoff(kern, sigma)
+	nb.cutoff2 = nb.cutoff * nb.cutoff
+	if g.Topo != Rect {
+		return
+	}
+	// neighborBox never reaches past |dx| ≤ min(⌊cutoff⌋, W−1), likewise dy.
+	r := int(g.clampCutoff(nb.cutoff))
+	rx, ry := min(r, g.W-1), min(r, g.H-1)
+	width := 2*rx + 1
+	if cap(nb.w) < width*(ry+1) {
+		nb.w = make([]float64, width*(ry+1))
+	}
+	nb.rx, nb.w = rx, nb.w[:width*(ry+1)]
+	for dy := 0; dy <= ry; dy++ {
+		fy := float64(dy)
+		dy2 := fy * fy
+		row := nb.w[dy*width : (dy+1)*width]
+		for i := range row {
+			fx := float64(i - rx)
+			d2 := fx*fx + dy2
+			h := 0.0
+			if !(d2 > nb.cutoff2) {
+				h = kern.Eval(d2, sigma)
+			}
+			row[i] = h
+		}
+	}
+}
+
+// hexRow evaluates the weights of lattice row y, cells x0..x1, into buf with
+// arithmetic identical to Grid.Dist2, and returns nil when the whole row
+// lies beyond the cutoff.
+func (nb *neighborhood) hexRow(buf []float64, y, x0, x1 int, bpx, bpy float64) []float64 {
+	dy := float64(y)*hexRowSpacing - bpy
+	dy2 := dy * dy
+	if dy2 > nb.cutoff2 {
+		return nil
+	}
+	rowOff := 0.0
+	if y&1 == 1 {
+		rowOff = 0.5
+	}
+	hs := buf[:x1-x0+1]
+	for i := range hs {
+		dx := float64(x0+i) + rowOff - bpx
+		d2 := dx*dx + dy2
+		h := 0.0
+		if !(d2 > nb.cutoff2) {
+			h = nb.kern.Eval(d2, nb.sigma)
+		}
+		hs[i] = h
+	}
+	return hs
 }
 
 // accumulateRows adds vector x's batch-update contribution for the lattice
 // rows [yLo, yHi), given its precomputed BMU. It iterates only the BMU's
-// neighborhood bounding box in ascending neuron order and applies the exact
-// d² ≤ cutoff² test with arithmetic identical to Grid.Dist2, so the float
-// additions into num and den happen for exactly the same cells, in exactly
-// the same order, as the full-grid loop — results are bit-identical. The
-// row-range restriction is what makes the parallel variant deterministic:
-// workers own disjoint row bands of the same accumulators.
-func accumulateRows(cb *Codebook, x []float64, bmu int, sigma, cutoff, cutoff2 float64, kern Kernel, num, den []float64, yLo, yHi int) {
+// neighborhood bounding box in ascending neuron order, reading each row's
+// weights from the table (Rect) or from hexRow (Hex, into buf, which holds
+// at least Grid.W values). A weight is 0 exactly where the full-grid loop
+// fails its d² ≤ cutoff² or h ≠ 0 test, so the float additions into num and
+// den happen for exactly the same cells, in exactly the same order, as the
+// full-grid loop — results are bit-identical. The row-range restriction is
+// what makes the parallel variant deterministic: workers own disjoint row
+// bands of the same accumulators.
+func (nb *neighborhood) accumulateRows(cb *Codebook, x []float64, bmu int, num, den []float64, yLo, yHi int, buf []float64) {
 	g := cb.Grid
-	x0, y0, x1, y1 := g.neighborBox(bmu, cutoff)
-	if y0 < yLo {
-		y0 = yLo
-	}
-	if y1 >= yHi {
-		y1 = yHi - 1
-	}
-	dim := cb.Dim
+	x0, y0, x1, y1 := g.neighborBox(bmu, nb.cutoff)
+	y0, y1 = max(y0, yLo), min(y1, yHi-1)
+	bx, by := g.Coords(bmu)
 	bpx, bpy := g.Position(bmu)
-	hex := g.Topo == Hex
+	width := 2*nb.rx + 1
 	for y := y0; y <= y1; y++ {
-		// Reproduce Grid.Position's bits: py = float64(y)·rowSpacing, px =
-		// float64(cx) (+0.5 on odd hex rows), then the Dist2 subtractions.
-		py := float64(y)
-		rowOff := 0.0
-		if hex {
-			py *= hexRowSpacing
-			if y&1 == 1 {
-				rowOff = 0.5
+		var hs []float64
+		if g.Topo == Rect {
+			dy := y - by
+			if dy < 0 {
+				dy = -dy
 			}
+			base := dy*width + nb.rx - bx
+			hs = nb.w[base+x0 : base+x1+1]
+		} else {
+			hs = nb.hexRow(buf, y, x0, x1, bpx, bpy)
 		}
-		dy := py - bpy
-		dy2 := dy * dy
-		if dy2 > cutoff2 {
+		addRow(num, den, x, cb.Dim, y*g.W+x0, hs)
+	}
+}
+
+// addRow adds hs[i]·x to neuron k0+i's numerator and hs[i] to its
+// denominator, skipping zero weights. The numerator loop is unrolled by
+// four; every element is an independent add, so this is bit-identical to
+// the plain loop.
+func addRow(num, den, x []float64, dim, k0 int, hs []float64) {
+	x = x[:dim]
+	for i, h := range hs {
+		if h == 0 {
 			continue
 		}
-		row := y * g.W
-		for cx := x0; cx <= x1; cx++ {
-			dx := float64(cx) + rowOff - bpx
-			d2 := dx*dx + dy2
-			if d2 > cutoff2 {
-				continue
-			}
-			h := kern.Eval(d2, sigma)
-			if h == 0 {
-				continue
-			}
-			k := row + cx
-			nk := num[k*dim : (k+1)*dim]
-			for d := range nk {
-				nk[d] += h * x[d]
-			}
-			den[k] += h
+		k := k0 + i
+		nk := num[k*dim : (k+1)*dim : (k+1)*dim]
+		d := 0
+		for ; d+4 <= len(nk); d += 4 {
+			n4 := nk[d : d+4 : d+4]
+			x4 := x[d : d+4 : d+4]
+			n4[0] += h * x4[0]
+			n4[1] += h * x4[1]
+			n4[2] += h * x4[2]
+			n4[3] += h * x4[3]
 		}
+		for ; d < len(nk); d++ {
+			nk[d] += h * x[d]
+		}
+		den[k] += h
 	}
 }
 
@@ -277,6 +357,7 @@ func TrainBatch(cb *Codebook, data []float64, n int, p TrainParams) error {
 	cells := cb.Grid.Cells()
 	num := make([]float64, cells*cb.Dim)
 	den := make([]float64, cells)
+	var sc AccumScratch
 	for epoch := 0; epoch < p.Epochs; epoch++ {
 		sigma := p.Radius(epoch, p.Epochs)
 		for i := range num {
@@ -285,7 +366,7 @@ func TrainBatch(cb *Codebook, data []float64, n int, p TrainParams) error {
 		for i := range den {
 			den[i] = 0
 		}
-		BatchAccumulateKernel(cb, data, n, sigma, p.Kern, num, den)
+		sc.accumulate(cb, data, n, sigma, p.Kern, num, den)
 		BatchApply(cb, num, den)
 	}
 	return nil
