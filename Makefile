@@ -74,14 +74,15 @@ bench-shuffle:
 	$(GO) test -bench=. -benchmem -run '^$$' ./internal/mrmpi
 
 # Kernel hot-path microbenchmarks: the BLAST engine's steady-state subject
-# scan, its per-HSP banded traceback and the SOM batch-accumulation kernel,
-# all with ReportAllocs. BenchmarkSearchSubjectSteadyState,
-# BenchmarkBandedAlignStats and BenchmarkBatchAccumulateKernel must stay at
+# scan, its per-HSP banded traceback and gapped X-drop, and the SOM
+# batch-accumulation kernel, all with ReportAllocs.
+# BenchmarkSearchSubjectSteadyState, BenchmarkBandedAlignStats,
+# BenchmarkXdropHalf and BenchmarkBatchAccumulateKernel must stay at
 # 0 allocs/op — a nonzero column means a fresh allocation crept back into a
 # per-subject, per-HSP or per-vector path. BenchmarkSearchSubjectHomologous
 # fails by itself when allocs/op exceed the HSPs it reports plus one.
 bench-engine:
-	$(GO) test -bench 'BenchmarkSearchSubject|BenchmarkProteinScan|BenchmarkCullContained|BenchmarkBandedAlignStats' -benchmem -run '^$$' ./internal/blast
+	$(GO) test -bench 'BenchmarkSearchSubject|BenchmarkProteinScan|BenchmarkCullContained|BenchmarkBandedAlignStats|BenchmarkXdropHalf' -benchmem -run '^$$' ./internal/blast
 	$(GO) test -bench 'BenchmarkBatchAccumulate|BenchmarkBMU|BenchmarkQuality' -benchmem -run '^$$' ./internal/som
 
 # Perf-regression harness: run the pinned suite and write the next free

@@ -58,6 +58,73 @@ type alignScratch struct {
 	ops []EditOp
 }
 
+// alignPad is the band padding that defines a reported HSP's statistics and
+// rendered path: align at this pad is the answer alignExact reproduces.
+const alignPad = 64
+
+// alignExact returns exactly what align(q, s, m, gaps, alignPad, withOps)
+// returns — score, statistics, ops and error — usually from a narrower
+// band. hint is a score some path of the alignment is believed to reach
+// (an HSP's X-drop score); hint <= 0 means none is known. A pass at pad p
+// is accepted only when its score exceeds bandBound's U(p), which
+// certifies that no path leaving the pad-p band can tie or beat it (see
+// DESIGN §9). A rejected pass's score is itself a reachable score, so the
+// next pass at the pad it certifies always succeeds: at most two narrow
+// passes run before the pad-alignPad fallback.
+func (sc *alignScratch) alignExact(q, s []byte, m Matrix, gaps GapCosts, hint int, withOps bool) (int, AlignStats, error) {
+	if len(q) > 0 && len(s) > 0 && gaps.Open >= 0 && gaps.Extend > 0 {
+		b := newBandBound(len(q), len(s), m, gaps)
+		p := 0
+		if hint > 0 {
+			p = b.pad(hint)
+		}
+		for p < alignPad {
+			score, st, err := sc.align(q, s, m, gaps, p, withOps)
+			if err != nil {
+				break
+			}
+			if score > b.bound(p) {
+				return score, st, nil
+			}
+			p = b.pad(score)
+		}
+	}
+	return sc.align(q, s, m, gaps, alignPad, withOps)
+}
+
+// bandBound bounds the score of any path that leaves a narrow band. With
+// δ = |nq−ns| and mn = min(nq, ns), a path that leaves the pad-p band
+// (|j−i| ≤ δ+p) must go at least δ+p+1 diagonals to one side of the main
+// diagonal and come back to end on diagonal ±δ: it has both gap kinds, at
+// least δ+2p+2 gap residues and at most mn−p−1 aligned pairs, so it scores
+// at most
+//
+//	U(p) = M·(mn−p−1) − 2·Open − Extend·(δ+2p+2),  M = max(MaxScore, 0).
+//
+// U falls by M + 2·Extend per unit of p.
+type bandBound struct {
+	u0, step int // U(0) and the per-pad decrease
+}
+
+func newBandBound(nq, ns int, m Matrix, gaps GapCosts) bandBound {
+	mx := max(m.MaxScore(), 0)
+	return bandBound{
+		u0:   mx*(min(nq, ns)-1) - 2*gaps.Open - gaps.Extend*(abs(nq-ns)+2),
+		step: mx + 2*gaps.Extend,
+	}
+}
+
+// bound is U(p).
+func (b bandBound) bound(p int) int { return b.u0 - b.step*p }
+
+// pad is the smallest p >= 0 with U(p) < score.
+func (b bandBound) pad(score int) int {
+	if b.u0 < score {
+		return 0
+	}
+	return (b.u0-score)/b.step + 1
+}
+
 // align aligns q against s end-to-end with affine gaps inside a diagonal
 // band and returns the optimal score and the statistics of its path. The
 // band half-width is |len(q)-len(s)| + pad, enough for any path whose gap

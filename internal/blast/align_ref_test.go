@@ -278,14 +278,13 @@ func TestBandedAlignMatchesReference(t *testing.T) {
 }
 
 // extendGappedUnbounded is extendGapped with the whole subject prefix
-// reversed for the left half-extension, the reference for the bounded
-// reversal.
+// reversed for the left half-extension and the reference X-drop, the
+// reference for the bounded reversal.
 func extendGappedUnbounded(q []byte, qloBound, qhiBound int, s []byte, qseed, sseed int, m Matrix, gaps GapCosts, xdrop int) gappedResult {
-	var sc gapScratch
-	rScore, rq, rs := xdropHalfScratch(q[qseed:qhiBound], s[sseed:], m, gaps, xdrop, &sc)
+	rScore, rq, rs := xdropHalfRef(q[qseed:qhiBound], s[sseed:], m, gaps, xdrop)
 	lq := appendReversed(nil, q[qloBound:qseed])
 	ls := appendReversed(nil, s[:sseed])
-	lScore, lqe, lse := xdropHalfScratch(lq, ls, m, gaps, xdrop, &sc)
+	lScore, lqe, lse := xdropHalfRef(lq, ls, m, gaps, xdrop)
 	return gappedResult{
 		score: rScore + lScore,
 		qlo:   qseed - lqe,
@@ -339,10 +338,151 @@ func TestExtendGappedBoundedReversalMatchesUnbounded(t *testing.T) {
 		sseed := min(len(s)-1, max(0, start+qseed+rng.Intn(7)-3))
 		xdrop := []int{5, 20, 60, 400}[rng.Intn(4)]
 		want := extendGappedUnbounded(q, 0, len(q), s, qseed, sseed, sch.m, sch.gaps, xdrop)
-		got := extendGapped(q, 0, len(q), s, qseed, sseed, sch.m, sch.gaps, xdrop, &sc)
+		sc.useMatrix(sch.m)
+		got := extendGapped(q, 0, len(q), s, qseed, sseed, sch.gaps, xdrop, &sc)
 		if got != want {
 			t.Fatalf("trial %d (%s, xdrop %d, qseed %d, sseed %d of %d): got %+v, unbounded %+v",
 				trial, sch.m.Name(), xdrop, qseed, sseed, len(s), got, want)
 		}
+	}
+}
+
+// flatMatrix is a DNA scoring scheme whose best score is not positive, the
+// case where the narrow-band bound must clamp MaxScore at 0.
+type flatMatrix struct{ match, mismatch int }
+
+func (m flatMatrix) Score(a, b byte) int {
+	if a == b {
+		return m.match
+	}
+	return m.mismatch
+}
+func (m flatMatrix) MaxScore() int          { return max(m.match, m.mismatch) }
+func (m flatMatrix) MinScore() int          { return min(m.match, m.mismatch) }
+func (m flatMatrix) Name() string           { return fmt.Sprintf("flat(%d/%d)", m.match, m.mismatch) }
+func (m flatMatrix) Alphabet() bio.Alphabet { return bio.DNA }
+
+// TestCertifiedBandMatchesReference: alignExact must return exactly the
+// pad-64 answer — the reference aligner's score, path and statistics, and
+// the rolling-row aligner's at pad 64 — whatever hint it is given: none
+// (0), one far below the optimum, the optimum itself, and one above it
+// (which makes the first narrow pass fail its certificate). Pairs are
+// mutated copies at 60–100% identity with indels, unrelated pairs (whose
+// low scores force the pad-64 fallback), pairs whose path strays far from
+// the main diagonal, and lengths 0 and 1, over DNA, BLOSUM62 and matrices
+// whose best score is 0 or negative, with and without ops.
+func TestCertifiedBandMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4411))
+	g := bio.NewGenerator(bio.SynthParams{Seed: 4412})
+	type scheme struct {
+		alpha bio.Alphabet
+		m     Matrix
+		gaps  []GapCosts
+	}
+	schemes := []scheme{
+		{bio.DNA, DefaultDNAMatrix(), []GapCosts{DefaultDNAGaps(), {Open: 0, Extend: 1}, {Open: 2, Extend: 1}}},
+		{bio.Protein, Blosum62(), []GapCosts{DefaultProteinGaps(), {Open: 0, Extend: 1}}},
+		{bio.DNA, flatMatrix{0, -1}, []GapCosts{{Open: 1, Extend: 1}, {Open: 0, Extend: 1}}},
+		{bio.DNA, flatMatrix{-1, -3}, []GapCosts{DefaultDNAGaps()}},
+		// A pair scores below two gap residues, so the best paths avoid the
+		// diagonal: only the clamp keeps the bound an upper bound here.
+		{bio.DNA, flatMatrix{-5, -6}, []GapCosts{{Open: 0, Extend: 1}}},
+	}
+	var sc alignScratch
+	trials := 2000
+	if testing.Short() {
+		trials = 400
+	}
+	narrow, fallback := 0, 0
+	for trial := 0; trial < trials; trial++ {
+		sch := schemes[trial%len(schemes)]
+		gaps := sch.gaps[rng.Intn(len(sch.gaps))]
+		encode := bio.EncodeDNA
+		base := func(l int) *bio.Sequence { return g.RandomDNA("s", l) }
+		if sch.alpha == bio.Protein {
+			encode = bio.EncodeProtein
+			base = func(l int) *bio.Sequence { return g.RandomProtein("s", l) }
+		}
+		var q, s []byte
+		switch kind := rng.Intn(10); {
+		case kind < 6: // a read of a reference window
+			seq := base(1 + rng.Intn(450))
+			mut := g.Mutate(seq, "m", rng.Float64()*0.4, rng.Float64()*0.04, sch.alpha)
+			q, s = encode(seq.Letters), encode(mut.Letters)
+		case kind < 7: // unrelated
+			q, s = encode(base(rng.Intn(300)).Letters), encode(base(rng.Intn(300)).Letters)
+		case kind < 8: // an insertion near one end, a deletion near the other
+			seq := encode(base(100 + rng.Intn(300)).Letters)
+			k := 1 + rng.Intn(40)
+			q = seq[k:]
+			s = append(append([]byte{}, seq[:len(seq)-k]...), encode(base(rng.Intn(3)).Letters)...)
+		default: // lengths 0 and 1
+			q = encode(base(rng.Intn(2)).Letters)
+			s = encode(base(rng.Intn(3)).Letters)
+		}
+		if rng.Intn(2) == 0 {
+			q, s = s, q
+		}
+		wantScore, wantOps, wantErr := bandedGlobalAlignRef(q, s, sch.m, gaps, alignPad)
+		if wantErr != nil {
+			t.Fatalf("trial %d: reference failed at pad %d: %v", trial, alignPad, wantErr)
+		}
+		hint := []int{0, wantScore / 3, wantScore, wantScore + 1 + rng.Intn(20)}[rng.Intn(4)]
+		withOps := rng.Intn(2) == 0
+		score, st, err := sc.alignExact(q, s, sch.m, gaps, hint, withOps)
+		where := fmt.Sprintf("trial %d (%s, gaps %+v, hint %d, optimum %d, %dx%d)", trial, sch.m.Name(), gaps, hint, wantScore, len(q), len(s))
+		if err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		if score != wantScore {
+			t.Fatalf("%s: score = %d, reference %d", where, score, wantScore)
+		}
+		if want := alignmentStats(q, s, wantOps); st != want {
+			t.Fatalf("%s: stats = %+v, reference %+v", where, st, want)
+		}
+		if withOps && string(sc.ops) != string(wantOps) {
+			t.Fatalf("%s: ops = %s, reference %s", where, sc.ops, wantOps)
+		}
+		var full alignScratch
+		if fs, fst, _ := full.align(q, s, sch.m, gaps, alignPad, false); fs != score || fst != st {
+			t.Fatalf("%s: pad-%d aligner = (%d, %+v), certified (%d, %+v)", where, alignPad, fs, fst, score, st)
+		}
+		// Classify the trial: did the optimum certify a narrow band?
+		if len(q) > 0 && len(s) > 0 {
+			b := newBandBound(len(q), len(s), sch.m, gaps)
+			if p := b.pad(wantScore); p < alignPad {
+				narrow++
+			} else {
+				fallback++
+			}
+		}
+	}
+	t.Logf("%d trials certified a narrow band, %d fell back to pad %d", narrow, fallback, alignPad)
+	// Pairs where the pad-p optimum equals U(p) and a path leaving the band
+	// ties it, which the pad-64 traceback prefers: accepting a pass whose
+	// score only reaches U(p) would change the path. Every hint from none
+	// to well above the optimum steers some pass onto that boundary.
+	ties := []struct {
+		q, s []byte
+		gaps GapCosts
+	}{
+		{[]byte{0, 1, 0, 1, 0, 0, 1, 0, 1, 1, 0}, []byte{0, 0, 1, 1, 0, 1, 0, 1, 1, 1, 0}, GapCosts{Open: 0, Extend: 1}},
+		{[]byte{0, 0, 0, 1, 0, 1, 1, 0, 0, 1}, []byte{1, 0, 0, 0, 0, 1, 0, 1, 0, 0}, GapCosts{Open: 0, Extend: 1}},
+		{[]byte{1, 1, 1, 0, 1, 0, 1, 0}, []byte{1, 1, 0, 1, 0, 1, 1, 0, 1, 0, 0}, GapCosts{Open: 3, Extend: 1}},
+		{[]byte{0, 0, 1, 1}, []byte{1, 1, 1, 0, 0}, GapCosts{Open: 1, Extend: 1}},
+	}
+	for _, tc := range ties {
+		q, s, m, gaps := tc.q, tc.s, DefaultDNAMatrix(), tc.gaps
+		wantScore, wantOps, _ := bandedGlobalAlignRef(q, s, m, gaps, alignPad)
+		for hint := 0; hint <= max(wantScore, 0)+20; hint++ {
+			score, _, err := sc.alignExact(q, s, m, gaps, hint, true)
+			if err != nil || score != wantScore || string(sc.ops) != string(wantOps) {
+				t.Fatalf("tie pair %v/%v (gaps %+v), hint %d: (%d, %s, %v), reference (%d, %s)", q, s, gaps, hint, score, sc.ops, err, wantScore, wantOps)
+			}
+		}
+	}
+	// Both paths must be exercised for the comparison to mean anything.
+	if narrow < trials/4 || fallback < trials/50 {
+		t.Fatalf("coverage: %d trials certified a narrow band, %d fell back to pad %d", narrow, fallback, alignPad)
 	}
 }

@@ -117,7 +117,9 @@ func TestExtendGappedSpansIndel(t *testing.T) {
 	sStr := "ACGTACGTACGA" + "G" + "TTGCATGCATGC"
 	q := dnaCodes(qStr)
 	s := dnaCodes(sStr)
-	r := extendGapped(q, 0, len(q), s, 4, 4, m, g, 15, new(gapScratch))
+	var sc gapScratch
+	sc.useMatrix(m)
+	r := extendGapped(q, 0, len(q), s, 4, 4, g, 15, &sc)
 	if r.qlo != 0 || r.qhi != len(q) || r.slo != 0 || r.shi != len(s) {
 		t.Errorf("bounds = %+v, want full span", r)
 	}

@@ -87,6 +87,7 @@ func NewEngine(queries []*bio.Sequence, p Params) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{params: p}
+	e.gap.useMatrix(p.ScoreMatrix)
 	if err := e.Reset(queries); err != nil {
 		return nil, err
 	}
@@ -383,7 +384,7 @@ func (e *Engine) finishSubject(subj Subject, seeds []seed) ([]*HSP, error) {
 		mid := (sd.qhi - sd.qlo) / 2
 		qseed, sseed := sd.qlo+mid, sd.slo+mid
 		g := extendGapped(concat, c.Start, c.Start+c.Len, subj.Codes,
-			qseed, sseed, e.params.ScoreMatrix, e.params.Gaps, e.xdropG, &e.gap)
+			qseed, sseed, e.params.Gaps, e.xdropG, &e.gap)
 		e.Stats.GappedExts++
 		if g.qhi <= g.qlo || g.shi <= g.slo {
 			continue
@@ -424,10 +425,12 @@ func (e *Engine) finishSubject(subj Subject, seeds []seed) ([]*HSP, error) {
 		}
 		e.perQCount[c.Query]++
 
-		// Alignment statistics via banded traceback over the HSP rectangle.
+		// Alignment statistics via banded traceback over the HSP rectangle;
+		// the extension's score is a path score inside it, the hint that
+		// lets alignExact certify a narrow band.
 		qseg := concat[cd.qlo:cd.qhi]
 		sseg := subj.Codes[cd.slo:cd.shi]
-		_, st, err := e.aln.align(qseg, sseg, e.params.ScoreMatrix, e.params.Gaps, 64, false)
+		_, st, err := e.aln.alignExact(qseg, sseg, e.params.ScoreMatrix, e.params.Gaps, cd.score, false)
 		if err != nil {
 			// Band overflow on a pathological alignment: fall back to
 			// length-based bounds rather than failing the search.

@@ -170,3 +170,37 @@ func BenchmarkBandedAlignStats(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(q)*(2*(abs(len(q)-len(s))+64)+1)), "ns/cell")
 }
+
+// BenchmarkXdropHalf measures one gapped X-drop half-extension the way the
+// engine runs it: a 400-base read carrying ~5% substitutions and a few
+// indels, seeded at its middle into the 14 kbp genome it was read from, so
+// the extension runs to the read's end while the subject stretches far
+// past it. The scratch is reused and warmed up; it is CI-gated at 0
+// allocs/op.
+func BenchmarkXdropHalf(b *testing.B) {
+	g := bio.NewGenerator(bio.SynthParams{Seed: 6011})
+	genome := g.RandomDNA("genome", 14000)
+	const at, seedOff = 6000, 200
+	win := &bio.Sequence{ID: "w", Letters: genome.Letters[at : at+400]}
+	read := g.Mutate(win, "read", 0.05, 0.005, bio.DNA)
+	q, s := bio.EncodeDNA(read.Letters)[seedOff:], bio.EncodeDNA(genome.Letters)[at+seedOff:]
+	m, gaps := DefaultDNAMatrix(), DefaultDNAGaps()
+	var sc gapScratch
+	sc.useMatrix(m)
+	ungapped, err := ComputeUngappedKarlin(m, BackgroundFreqs(bio.DNA))
+	if err != nil {
+		b.Fatal(err)
+	}
+	xdrop := bitsToRaw(DefaultNucleotideParams().XDropGappedBits, GappedKarlin(m, gaps, ungapped).Lambda)
+	if best, qext, _ := xdropHalfScratch(q, s, gaps, xdrop, &sc); best <= 0 || qext < len(q)/2 {
+		b.Fatalf("extension stopped early (score %d, %d of %d residues); fixture broken", best, qext, len(q))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		xdropSink, _, _ = xdropHalfScratch(q, s, gaps, xdrop, &sc)
+	}
+}
+
+// xdropSink keeps BenchmarkXdropHalf's result live.
+var xdropSink int

@@ -12,11 +12,31 @@ type gappedResult struct {
 
 // gapScratch holds the reusable buffers of a gapped extension — the two
 // reversed-prefix copies and the three DP rows — so repeated extensions
-// allocate nothing. Every cell the recurrence reads is written first (the
-// window guards bound all reads), so dirty reuse is safe.
+// allocate nothing, plus the substitution table of the matrix in use. Every
+// cell the recurrence reads is written first (the window guards bound all
+// reads), so dirty reuse is safe.
 type gapScratch struct {
 	lq, ls                 []byte
 	score, eGap, prevScore []int
+	// tab is the matrix tabulated over its alphabet's nc codes: row a holds
+	// Score(a, b) at tab[a*nc+b]. useMatrix fills it.
+	tab []int
+	nc  int
+}
+
+// useMatrix tabulates m over the codes of its alphabet (4 for DNA, 24 for
+// protein), so the X-drop recurrence reads one table row per query residue
+// instead of calling the Matrix per cell. It must run before the first
+// extension and again whenever the matrix changes.
+func (sc *gapScratch) useMatrix(m Matrix) {
+	n := m.Alphabet().NumLetters()
+	sc.nc = n
+	sc.tab = resized(sc.tab, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			sc.tab[a*n+b] = m.Score(byte(a), byte(b))
+		}
+	}
 }
 
 // rows returns the three DP rows with at least width cells each.
@@ -32,11 +52,11 @@ func (sc *gapScratch) rows(width int) (score, eGap, prev []int) {
 // extendGapped runs the BLAST stage-3 gapped X-drop extension from a seed
 // point inside an ungapped HSP: two half-extensions (left of and right of
 // the seed) whose scores add. The seed residue pair itself is scored in the
-// right half.
-func extendGapped(q []byte, qloBound, qhiBound int, s []byte, qseed, sseed int, m Matrix, gaps GapCosts, xdrop int, sc *gapScratch) gappedResult {
+// right half. Residue pairs are scored by the matrix tabulated in sc.
+func extendGapped(q []byte, qloBound, qhiBound int, s []byte, qseed, sseed int, gaps GapCosts, xdrop int, sc *gapScratch) gappedResult {
 	// Right half includes the seed pair: align q[qseed..qhiBound) with
 	// s[sseed..len).
-	rScore, rq, rs := xdropHalfScratch(q[qseed:qhiBound], s[sseed:], m, gaps, xdrop, sc)
+	rScore, rq, rs := xdropHalfScratch(q[qseed:qhiBound], s[sseed:], gaps, xdrop, sc)
 	// Left half: reversed prefixes, excluding the seed pair. Only the
 	// subject prefix the X-drop can reach is reversed: row 0 of the DP
 	// keeps at most xdrop/Extend live columns and each query row widens the
@@ -48,7 +68,7 @@ func extendGapped(q []byte, qloBound, qhiBound int, s []byte, qseed, sseed int, 
 		sfrom = max(0, sseed-(len(sc.lq)+xdrop/gaps.Extend+2))
 	}
 	sc.ls = appendReversed(sc.ls[:0], s[sfrom:sseed])
-	lScore, lqe, lse := xdropHalfScratch(sc.lq, sc.ls, m, gaps, xdrop, sc)
+	lScore, lqe, lse := xdropHalfScratch(sc.lq, sc.ls, gaps, xdrop, sc)
 	return gappedResult{
 		score: rScore + lScore,
 		qlo:   qseed - lqe,
@@ -75,12 +95,17 @@ func appendReversed(dst, b []byte) []byte {
 // The recurrence is the affine-gap X-drop of Zhang et al. as used in NCBI's
 // gapped extension: row i consumes q[i-1], column j consumes s[j-1].
 func xdropHalf(q, s []byte, m Matrix, gaps GapCosts, xdrop int) (best, qext, sext int) {
-	return xdropHalfScratch(q, s, m, gaps, xdrop, new(gapScratch))
+	sc := new(gapScratch)
+	sc.useMatrix(m)
+	return xdropHalfScratch(q, s, gaps, xdrop, sc)
 }
 
-// xdropHalfScratch is xdropHalf with caller-owned DP rows.
-func xdropHalfScratch(q, s []byte, m Matrix, gaps GapCosts, xdrop int, sc *gapScratch) (best, qext, sext int) {
-	openExt := gaps.Open + gaps.Extend
+// xdropHalfScratch is xdropHalf with caller-owned DP rows, scoring with
+// the matrix tabulated in sc.
+func xdropHalfScratch(q, s []byte, gaps GapCosts, xdrop int, sc *gapScratch) (best, qext, sext int) {
+	ext := gaps.Extend
+	openExt := gaps.Open + ext
+	nc := sc.nc
 
 	// score[j]: best alignment score ending at (i, j); eGap[j]: best ending
 	// with a gap that consumes q (vertical). Window [jlo, jhi] holds the
@@ -94,7 +119,7 @@ func xdropHalfScratch(q, s []byte, m Matrix, gaps GapCosts, xdrop int, sc *gapSc
 	eGap[0] = negInf
 	jhi := 0
 	for j := 1; j < width; j++ {
-		v := -(gaps.Open + gaps.Extend*j)
+		v := -(gaps.Open + ext*j)
 		if v < -xdrop {
 			break
 		}
@@ -120,62 +145,77 @@ func xdropHalfScratch(q, s []byte, m Matrix, gaps GapCosts, xdrop int, sc *gapSc
 		// The window may grow one column to the right via the diagonal.
 		newHi := min(jhi+1, width-1)
 		fGap := negInf
-		rowBestSet := false
 		newLo := -1
-		qc := q[i-1]
+		row := sc.tab[int(q[i-1])*nc:][:nc]
+		floor := best - xdrop // cells below it are pruned; rises with best
 
 		// Column jlo-1 is dead in this row unless jlo == 0.
 		if jlo == 0 {
 			// Score of aligning q[0:i] against the empty subject prefix.
-			v := -(gaps.Open + gaps.Extend*i)
-			if v >= best-xdrop {
+			v := -(gaps.Open + ext*i)
+			if v >= floor {
 				score[0] = v
-				eGap[0] = max(eGap[0]-gaps.Extend, prevScore[0]-openExt)
+				eGap[0] = max(eGap[0]-ext, prevScore[0]-openExt)
 				newLo = 0
-				rowBestSet = true
 			} else {
 				score[0] = negInf
 				eGap[0] = negInf
 			}
 		}
-		for j := max(jlo, 1); j <= newHi; j++ {
+		// Columns of the previous row's window: the diagonal (j-1 lies in
+		// [jlo-1, jhi]), vertical and horizontal moves all reach them.
+		j := max(jlo, 1)
+		for ; j <= jhi; j++ {
 			diag := negInf
-			if j-1 <= jhi && j-1 >= jlo-1 {
-				if prevScore[j-1] > negInf/2 {
-					diag = prevScore[j-1] + m.Score(qc, s[j-1])
-				}
+			if p := prevScore[j-1]; p > negInf/2 {
+				diag = p + row[s[j-1]]
 			}
-			e := negInf
-			if j <= jhi {
-				e = max(eGap[j]-gaps.Extend, prevScore[j]-openExt)
-			}
-			f := fGap
-			v := max(diag, max(e, f))
-			if v < best-xdrop {
+			e := max(eGap[j]-ext, prevScore[j]-openExt)
+			v := max(diag, max(e, fGap))
+			if v < floor {
 				score[j] = negInf
 				eGap[j] = negInf
-				fGap = max(fGap-gaps.Extend, negInf)
+				fGap = max(fGap-ext, negInf)
 				continue
 			}
 			score[j] = v
 			eGap[j] = e
-			fGap = max(f-gaps.Extend, v-openExt)
+			fGap = max(fGap-ext, v-openExt)
 			if v > best {
-				best = v
+				best, floor = v, v-xdrop
 				qext, sext = i, j
 			}
 			if newLo < 0 {
 				newLo = j
 			}
-			rowBestSet = true
 		}
-		if !rowBestSet {
+		// The edge column jhi+1: nothing lies above it, so only the
+		// diagonal and the horizontal move reach it.
+		if j <= newHi {
+			diag := negInf
+			if p := prevScore[j-1]; p > negInf/2 {
+				diag = p + row[s[j-1]]
+			}
+			v := max(diag, fGap)
+			if v < floor {
+				score[j] = negInf
+				eGap[j] = negInf
+			} else {
+				score[j] = v
+				eGap[j] = negInf
+				if v > best {
+					best = v
+					qext, sext = i, j
+				}
+				if newLo < 0 {
+					newLo = j
+				}
+			}
+		}
+		if newLo < 0 {
 			break // every cell pruned: extension is finished
 		}
 		// Shrink the window to the live cells.
-		if newLo < 0 {
-			break
-		}
 		jlo = newLo
 		jhi = newHi
 		for jhi > jlo && score[jhi] <= negInf/2 {

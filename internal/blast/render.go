@@ -26,6 +26,12 @@ func cloneWithScore(h *HSP, score int) *HSP {
 // minus strand is handled by reverse-complementing the query segment).
 // width is the residues per line (default 60). The midline marks identities
 // with '|'; for protein alignments, positive substitution scores with '+'.
+//
+// The segments are coded exactly as the engine searched them: DNA encoding
+// replaces an ambiguity letter by a code derived from its position in the
+// whole sequence, so each sequence is encoded from its start and then
+// sliced. The midline compares those codes, so its identities are the
+// HSP's; the sequence lines show an ambiguity letter as 'N'.
 func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCosts, width int) (string, error) {
 	if width <= 0 {
 		width = 60
@@ -34,25 +40,14 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 		return "", fmt.Errorf("blast: HSP coordinates outside sequences")
 	}
 	alpha := m.Alphabet()
-	var qcodes []byte
-	qseg := query.Letters[h.QStart:h.QEnd]
-	if alpha == bio.DNA {
-		qcodes = bio.EncodeDNA(qseg)
-		if h.Strand < 0 {
-			qcodes = bio.ReverseComplementCodes(qcodes)
-		}
-	} else {
-		qcodes = bio.EncodeProtein(qseg)
-	}
-	var scodes []byte
-	sseg := subject.Letters[h.SStart:h.SEnd]
-	if alpha == bio.DNA {
-		scodes = bio.EncodeDNA(sseg)
-	} else {
-		scodes = bio.EncodeProtein(sseg)
+	qcodes, qshow := renderSegment(query.Letters, h.QStart, h.QEnd, alpha)
+	scodes, sshow := renderSegment(subject.Letters, h.SStart, h.SEnd, alpha)
+	if alpha == bio.DNA && h.Strand < 0 {
+		qcodes = bio.ReverseComplementCodes(qcodes)
+		qshow = bio.ReverseComplement(qshow)
 	}
 	var aln alignScratch
-	score, _, err := aln.align(qcodes, scodes, m, gaps, 64, true)
+	score, _, err := aln.alignExact(qcodes, scodes, m, gaps, h.Score, true)
 	if err != nil {
 		return "", err
 	}
@@ -63,10 +58,6 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 		h = cloneWithScore(h, score)
 	}
 
-	decode := bio.DecodeDNA
-	if alpha == bio.Protein {
-		decode = bio.DecodeProtein
-	}
 	qline := make([]byte, 0, len(ops))
 	mid := make([]byte, 0, len(ops))
 	sline := make([]byte, 0, len(ops))
@@ -75,8 +66,8 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 		switch op {
 		case OpMatch:
 			qc, sc := qcodes[qi], scodes[si]
-			qline = append(qline, decode([]byte{qc})[0])
-			sline = append(sline, decode([]byte{sc})[0])
+			qline = append(qline, qshow[qi])
+			sline = append(sline, sshow[si])
 			switch {
 			case qc == sc:
 				mid = append(mid, '|')
@@ -88,14 +79,14 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 			qi++
 			si++
 		case OpInsQ:
-			qline = append(qline, decode([]byte{qcodes[qi]})[0])
+			qline = append(qline, qshow[qi])
 			mid = append(mid, ' ')
 			sline = append(sline, '-')
 			qi++
 		case OpInsS:
 			qline = append(qline, '-')
 			mid = append(mid, ' ')
-			sline = append(sline, decode([]byte{scodes[si]})[0])
+			sline = append(sline, sshow[si])
 			si++
 		}
 	}
@@ -139,4 +130,17 @@ func RenderAlignment(h *HSP, query, subject *bio.Sequence, m Matrix, gaps GapCos
 		fmt.Fprintf(&b, "Sbjct  %-6d %s  %d\n\n", sFrom, schunk, sTo)
 	}
 	return b.String(), nil
+}
+
+// renderSegment returns the codes of letters[from:to] as the engine encodes
+// the whole sequence, and the letters to display for them: the decoded
+// codes, except that a DNA ambiguity letter shows as 'N' rather than as
+// the base its code stands for.
+func renderSegment(letters []byte, from, to int, alpha bio.Alphabet) (codes, show []byte) {
+	if alpha == bio.Protein {
+		codes = bio.EncodeProtein(letters[from:to])
+		return codes, bio.DecodeProtein(codes)
+	}
+	codes = bio.EncodeDNA(letters[:to])[from:]
+	return codes, bio.CleanDNA(letters[from:to])
 }

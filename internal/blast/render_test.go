@@ -103,3 +103,54 @@ func TestRenderAlignmentValidation(t *testing.T) {
 		t.Error("out-of-bounds HSP accepted")
 	}
 }
+
+// TestRenderAlignmentAmbiguousBases: runs of N in the query and the subject
+// are coded by their position in the whole sequence, so the rendering must
+// code each sequence from its start, as the engine did, for its midline to
+// count the HSP's identities. The HSPs start past position 0 on both
+// sequences and both strands, where coding the segment alone would differ.
+func TestRenderAlignmentAmbiguousBases(t *testing.T) {
+	for _, strand := range []int8{1, -1} {
+		g := bio.NewGenerator(bio.SynthParams{Seed: 63})
+		query := g.RandomDNA("q1", 160)
+		copy(query.Letters[70:], "NNNNNNNNNNNN")
+		subj := g.RandomDNA("s1", 500)
+		// The subject carries the query past its first 25 bases, so the
+		// HSP starts inside both sequences.
+		part := query.Letters[25:]
+		if strand < 0 {
+			part = bio.ReverseComplement(part)
+		}
+		copy(subj.Letters[180:], part)
+		copy(subj.Letters[230:], "NNNNNNNN")
+
+		e := newDNAEngine(t, []*bio.Sequence{query}, nil)
+		e.SetDatabaseDims(int64(subj.Len()), 1)
+		hsps, err := e.SearchSubject(EncodeSubject(subj, bio.DNA))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h *HSP
+		for _, x := range hsps {
+			if x.Strand == strand && (h == nil || x.Score > h.Score) {
+				h = x
+			}
+		}
+		if h == nil {
+			t.Fatalf("strand %+d: no hit among %d", strand, len(hsps))
+		}
+		if h.QStart == 0 || h.SStart == 0 || h.QEnd < 82 || h.SStart > 230 || h.SEnd < 238 {
+			t.Fatalf("strand %+d: HSP %v does not span both N runs from inside the sequences", strand, h)
+		}
+		out, err := RenderAlignment(h, query, subj, DefaultDNAMatrix(), DefaultDNAGaps(), 60)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Count(out, "|"); got != h.Identities {
+			t.Errorf("strand %+d: rendering shows %d identities, HSP has %d:\n%s", strand, got, h.Identities, out)
+		}
+		if !strings.Contains(out, "NNNN") {
+			t.Errorf("strand %+d: ambiguity letters not shown as N:\n%s", strand, out)
+		}
+	}
+}

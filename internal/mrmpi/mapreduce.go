@@ -394,15 +394,27 @@ func (mr *MapReduce) masterNext() func() (int, bool) {
 		if done {
 			return 0, false
 		}
-		mr.comm.Send(0, TagWorkerReady, nil)
-		data, _ := mr.comm.Recv(0, TagTaskAssign)
-		itask := data.(int)
+		itask := mr.requestTask()
 		if itask < 0 {
 			done = true
 			return 0, false
 		}
 		return itask, true
 	}
+}
+
+// requestTask asks the master for the next task and returns its reply: a
+// task index, or -1 to stop. The request and the wait for the reply are
+// transport time, so one mpi span covers both; otherwise the send's tail
+// after its trace instant (the mailbox lock, a GC it may start) is charged
+// to the map phase as busy time.
+func (mr *MapReduce) requestTask() int {
+	if mr.tr != nil {
+		defer mr.tr.Begin("mpi", "TaskRequest").End()
+	}
+	mr.comm.Send(0, TagWorkerReady, nil)
+	data, _ := mr.comm.Recv(0, TagTaskAssign)
+	return data.(int)
 }
 
 // mapMaster implements the load-balancing master–worker protocol: rank 0

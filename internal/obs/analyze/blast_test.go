@@ -26,9 +26,12 @@ func TestStragglerDetectionMrblast(t *testing.T) {
 		StrainsPerGenome: 1, StrainIdentity: 0.93,
 	})
 	// One giant genome dwarfing the others: it lands alone in one
-	// partition whose search time dominates the run.
+	// partition whose search time dominates the run. Its search must also
+	// outlast the other workers' engine builds (about a megabyte of lookup
+	// table each), which a GC cycle can stretch to ~10 ms of wall time; at
+	// 400 kbp it takes 20–30 ms.
 	huge := g.GenerateGenomeSet(bio.GenomeSetParams{
-		NTaxa: 1, MinLen: 40000, MaxLen: 45000,
+		NTaxa: 1, MinLen: 400000, MaxLen: 405000,
 		StrainsPerGenome: 1, StrainIdentity: 0.93,
 	})
 	for i, s := range huge.Genomes {
